@@ -1,5 +1,5 @@
-// Ablation benchmarks for the design choices called out in DESIGN.md:
-// what each reduction stage buys, how deep the expensive bounds should
+// Ablation benchmarks for the main design choices: what each
+// reduction stage buys, how deep the expensive bounds should
 // be evaluated, and what component-level parallelism contributes.
 package fairclique_test
 

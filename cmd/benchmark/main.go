@@ -18,13 +18,11 @@
 // independent Find calls (-grid overrides the canonical 9 cells) —
 // "delta" measures the dynamic session: a single-edge Apply plus
 // requery on a warm Session versus NewSession plus requery on the
-// mutated graph, "sched" measures the session-global work-stealing
-// scheduler: the same grid serial, statically split and on the
-// session-lifetime shared pool, plus a worker scaling curve
-// (-workers-curve, default 1,2,4,8) and a speculation on/off ablation
-// at W4 (-spec selects the headline mode; -min-speedup X exits 1
-// unless the shared-pool W4/W1 speedup beats X — the bench-parallel CI
-// gate), and "ingest" measures the
+// mutated graph, "sched" measures the parallel grid: the same grid at
+// Workers 1 and 4, each cell on the component split, plus a worker
+// scaling curve (-workers-curve, default 1,2,4,8; -min-speedup X exits
+// 1 unless the W4/W1 speedup beats X — the bench-parallel CI gate),
+// and "ingest" measures the
 // paper-scale pipeline: SNAP text through the streaming CSR builder,
 // the degeneracy pre-prune and the component-parallel reduction on the
 // reproducible multi-million-edge instance (-max-mem-ratio gates the
@@ -69,7 +67,6 @@ func main() {
 		merge       = flag.String("merge", "", "for -exp grid/delta/sched: existing BENCH_core.json to embed the record into")
 		gridSpec    = flag.String("grid", "", "for -exp grid/sched: override the cell spec, e.g. 'k=2..4,delta=1..3[,mode=weak|strong]'")
 		minSpeedup  = flag.Float64("min-speedup", 0, "for -exp sched/ingest/enum: exit 1 unless the measured speedup strictly exceeds this (0 = no gate)")
-		spec        = flag.String("spec", "on", "for -exp sched: speculation mode of the shared-pool measurements, on or off (the on/off ablation is recorded either way)")
 		workersCrv  = flag.String("workers-curve", "", "for -exp sched: comma-separated worker counts of the scaling curve (default 1,2,4,8)")
 		maxMemRatio = flag.Float64("max-mem-ratio", 0, "for -exp ingest: exit 1 unless the streaming peak stays under this multiple of the final CSR bytes (0 = no gate)")
 		graphDir    = flag.String("graph-dir", "", "for -exp ingest: cache the generated SNAP instance pair in this directory")
@@ -86,7 +83,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	cfg := bench.Config{Scale: *scale, Out: w, MaxNodes: *maxNodes, GridSpec: *gridSpec, SchedSpec: *spec}
+	cfg := bench.Config{Scale: *scale, Out: w, MaxNodes: *maxNodes, GridSpec: *gridSpec}
 	if *workersCrv != "" {
 		for _, f := range strings.Split(*workersCrv, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -133,14 +130,14 @@ func main() {
 		return
 	}
 	if *exp == "sched" {
-		// The session-global scheduler experiment: the grid serial vs
-		// static split vs shared work-stealing pool. JSON-only; -merge
-		// embeds it under "sched"; -min-speedup is the CI parallel gate.
+		// The parallel-grid experiment: the grid at W1 vs W4 plus the
+		// workers curve. JSON-only; -merge embeds it under "sched";
+		// -min-speedup is the CI parallel gate.
 		if err := bench.WriteSchedBench(cfg, w, *merge, *minSpeedup); err != nil {
 			fmt.Fprintln(os.Stderr, "benchmark:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "benchmark: sched scheduler bench finished in %v\n", time.Since(start))
+		fmt.Fprintf(os.Stderr, "benchmark: sched parallel-grid bench finished in %v\n", time.Since(start))
 		return
 	}
 	if *exp == "enum" {

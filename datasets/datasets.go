@@ -1,8 +1,8 @@
 // Package datasets exposes the repository's deterministic benchmark
 // graphs through the public fairclique API: the six stand-ins for the
 // paper's evaluation datasets (Table I) and the four labelled
-// case-study graphs (Fig. 10). See DESIGN.md "Substitutions" for what
-// each stand-in imitates and why.
+// case-study graphs (Fig. 10). The real graphs are not available
+// offline; internal/gen documents what each stand-in imitates.
 package datasets
 
 import (

@@ -20,11 +20,9 @@ type AblationRow struct {
 
 // Ablation quantifies what each design lever buys on every dataset at
 // default parameters: the full configuration, then reduction disabled,
-// bounds disabled, heuristic disabled, and everything disabled. This
-// is the experiment DESIGN.md's per-experiment index refers to for the
-// design-choice call-outs; it has no direct counterpart figure in the
-// paper but substantiates its §III/§IV/§V contribution claims at this
-// repository's scale.
+// bounds disabled, heuristic disabled, and everything disabled. It has
+// no direct counterpart figure in the paper but substantiates its
+// §III/§IV/§V contribution claims at this repository's scale.
 func Ablation(cfg Config) []AblationRow {
 	w := cfg.out()
 	fmt.Fprintf(w, "\n## Ablation — contribution of each design lever (default k, δ)\n\n")

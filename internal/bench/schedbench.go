@@ -12,8 +12,8 @@ import (
 	"fairclique/internal/session"
 )
 
-// SchedBenchCell is one grid cell of the scheduler experiment with the
-// answer every scheduling mode must agree on.
+// SchedBenchCell is one grid cell of the parallel-grid experiment with
+// the answer every worker count must agree on.
 type SchedBenchCell struct {
 	K     int  `json:"k"`
 	Delta int  `json:"delta"`
@@ -22,7 +22,7 @@ type SchedBenchCell struct {
 }
 
 // SchedCurvePoint is one worker count of the scaling curve: the same
-// grid on the session-lifetime shared pool at W workers.
+// grid with every cell searched by W workers.
 type SchedCurvePoint struct {
 	Workers int     `json:"workers"`
 	Seconds float64 `json:"seconds"`
@@ -31,17 +31,15 @@ type SchedCurvePoint struct {
 	SpeedupOverW1 float64 `json:"speedup_over_w1"`
 }
 
-// SchedBenchResult records the session-global scheduler experiment
+// SchedBenchResult records the parallel-grid experiment
 // (`benchmark -exp sched`): the same (k, δ) grid answered by one
-// session under three scheduling modes — Workers=1 (serial), Workers=4
-// with the static per-cell split (the pre-scheduler baseline), and
-// Workers=4 on the session-lifetime shared work-stealing pool — with
-// per-cell equality across all three, plus a W ∈ {1, 2, 4, 8} scaling
-// curve and a speculation on/off ablation at W4. Merged into
-// BENCH_core.json under "sched" by `make bench`; the bench-parallel CI
-// job gates on SpeedupW4OverW1 on a multi-core runner (committed
-// records from 1-CPU containers are ~1.0 by construction, which is
-// exactly why the CI gate exists).
+// session at Workers=1 and Workers=4 — cells in chain order, each cell
+// on core's component split — with per-cell equality across every
+// measured worker count, plus a W ∈ {1, 2, 4, 8} scaling curve. Merged
+// into BENCH_core.json under "sched" by `make bench`; the
+// bench-parallel CI job gates on SpeedupW4OverW1 on a multi-core runner
+// (records from machines with fewer than 4 CPUs cannot show it, which
+// is exactly why the CI gate exists).
 type SchedBenchResult struct {
 	Graph      CoreBenchGraph   `json:"graph"`
 	GridSpec   string           `json:"grid_spec"`
@@ -49,43 +47,21 @@ type SchedBenchResult struct {
 	NumCPU     int              `json:"num_cpu"`
 	Workers    int              `json:"workers"`
 	Cells      []SchedBenchCell `json:"cells"`
-	// Grid wall-clock (best of 3, fresh session per repetition) per
-	// scheduling mode.
+	// Grid wall-clock (best of 3, fresh session per repetition).
 	W1Seconds       float64 `json:"w1_seconds"`
-	StaticW4Seconds float64 `json:"static_w4_seconds"`
-	SharedW4Seconds float64 `json:"shared_w4_seconds"`
-	// SpeedupW4OverW1 is shared-pool W4 against the serial grid;
-	// SpeedupSharedOverStatic is shared-pool W4 against the static
-	// split at the same W4 — the scheduler's own contribution.
-	SpeedupW4OverW1         float64 `json:"speedup_w4_over_w1"`
-	SpeedupSharedOverStatic float64 `json:"speedup_shared_over_static"`
-	// AllMatch is true iff every cell agreed in size across all three
-	// modes — the record is only trustworthy when it is.
+	W4Seconds       float64 `json:"w4_seconds"`
+	SpeedupW4OverW1 float64 `json:"speedup_w4_over_w1"`
+	// AllMatch is true iff every cell agreed in size across all
+	// measured worker counts — the record is only trustworthy when it
+	// is.
 	AllMatch bool `json:"all_match"`
-	// Scheduler counters of the best shared-pool run; LocalSteals and
-	// RemoteSteals split Steals by locality domain.
-	Donations       int64 `json:"donations"`
-	Steals          int64 `json:"steals"`
-	CrossCellSteals int64 `json:"cross_cell_steals"`
-	LocalSteals     int64 `json:"local_steals"`
-	RemoteSteals    int64 `json:"remote_steals"`
-	WorkerReleases  int64 `json:"worker_releases"`
-	// Curve is the shared-pool scaling curve over the -workers-curve
-	// counts (default 1, 2, 4, 8).
+	// Donation counters of the best W4 run; Steals equals Donations
+	// (every donated subtree ran exactly once).
+	Donations int64 `json:"donations"`
+	Steals    int64 `json:"steals"`
+	// Curve is the scaling curve over the -workers-curve counts
+	// (default 1, 2, 4, 8).
 	Curve []SchedCurvePoint `json:"curve"`
-	// SpecMode is the speculation mode ("on" = SpecAuto, "off") of the
-	// headline shared-pool and curve measurements; the ablation below
-	// measures both at W4 regardless.
-	SpecMode       string  `json:"spec_mode"`
-	SpecOnSeconds  float64 `json:"spec_on_seconds"`
-	SpecOffSeconds float64 `json:"spec_off_seconds"`
-	// SpecSpeedup is SpecOffSeconds / SpecOnSeconds: above 1.0 means
-	// speculation helped on this run.
-	SpecSpeedup float64 `json:"spec_speedup"`
-	// Speculation ledger of the best spec-on ablation run.
-	SpecStarts  int64 `json:"spec_starts"`
-	SpecWins    int64 `json:"spec_wins"`
-	SpecCancels int64 `json:"spec_cancels"`
 	// PeakAllocBytes is the sampled heap high-water mark across the
 	// measured runs (runtime.ReadMemStats).
 	PeakAllocBytes uint64 `json:"peak_alloc_bytes"`
@@ -95,8 +71,7 @@ type SchedBenchResult struct {
 // same 4-worker point the core engine record uses.
 const schedWorkers = 4
 
-// SchedBench measures the grid scheduler on the bigcomp-giant
-// instance under the three scheduling modes.
+// SchedBench measures the parallel grid on the bigcomp-giant instance.
 func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 	g, desc := coreBenchInstance(cfg.scale())
 	spec, qs, err := gridBenchQueries(cfg.GridSpec)
@@ -113,16 +88,17 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 	}
 	sampler := startPeakSampler()
 	defer func() { res.PeakAllocBytes = sampler.Stop() }()
-	base := session.Options{
-		UseBounds:    true,
-		Extra:        bounds.ColorfulDegeneracy,
-		UseHeuristic: true,
-		MaxNodes:     cfg.MaxNodes,
-	}
 
 	// A fresh session per repetition: a warm one would answer the
-	// repeated grid from memory and measure the scheduler of nothing.
-	measure := func(opt session.Options) (float64, []int, session.Stats, error) {
+	// repeated grid from memory and measure nothing.
+	measure := func(workers int) (float64, []int, session.Stats, error) {
+		opt := session.Options{
+			UseBounds:    true,
+			Extra:        bounds.ColorfulDegeneracy,
+			UseHeuristic: true,
+			MaxNodes:     cfg.MaxNodes,
+			Workers:      workers,
+		}
 		var best float64
 		var sizes []int
 		var stats session.Stats
@@ -132,14 +108,12 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 			rs, err := s.FindGrid(qs)
 			elapsed := time.Since(start).Seconds()
 			if err != nil {
-				s.Close()
 				return 0, nil, stats, err
 			}
 			if rep == 0 || elapsed < best {
 				best = elapsed
 				stats = s.Stats()
 			}
-			s.Close()
 			if sizes == nil {
 				sizes = make([]int, len(rs))
 				for i, r := range rs {
@@ -156,10 +130,8 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 		return best, sizes, stats, nil
 	}
 
-	w1 := base
-	w1.Workers = 1
 	var w1Sizes []int
-	if res.W1Seconds, w1Sizes, _, err = measure(w1); err != nil {
+	if res.W1Seconds, w1Sizes, _, err = measure(1); err != nil {
 		return res, err
 	}
 	for i, q := range qs {
@@ -167,58 +139,27 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 			K: int(q.K), Delta: int(q.Delta), Weak: q.Weak, Size: w1Sizes[i],
 		})
 	}
-
-	static := base
-	static.Workers = schedWorkers
-	static.StaticGridSplit = true
-	staticSecs, staticSizes, _, err := measure(static)
-	if err != nil {
-		return res, err
-	}
-	res.StaticW4Seconds = staticSecs
-
-	specMode := cfg.SchedSpec
-	if specMode == "" {
-		specMode = "on"
-	}
-	var headlineSpec session.Speculation
-	switch specMode {
-	case "on":
-		headlineSpec = session.SpecAuto
-	case "off":
-		headlineSpec = session.SpecOff
-	default:
-		return res, fmt.Errorf("sched bench: -spec must be on or off, got %q", specMode)
-	}
-	res.SpecMode = specMode
-
-	shared := base
-	shared.Workers = schedWorkers
-	shared.Speculation = headlineSpec
-	sharedSecs, sharedSizes, sharedStats, err := measure(shared)
-	if err != nil {
-		return res, err
-	}
-	res.SharedW4Seconds = sharedSecs
-	res.Donations = sharedStats.Donations
-	res.Steals = sharedStats.Steals
-	res.CrossCellSteals = sharedStats.CrossCellSteals
-	res.LocalSteals = sharedStats.LocalSteals
-	res.RemoteSteals = sharedStats.RemoteSteals
-	res.WorkerReleases = sharedStats.WorkerReleases
-
-	for i := range qs {
-		if staticSizes[i] != w1Sizes[i] || sharedSizes[i] != w1Sizes[i] {
-			res.AllMatch = false
+	matchW1 := func(sizes []int) {
+		for i := range qs {
+			if sizes[i] != w1Sizes[i] {
+				res.AllMatch = false
+			}
 		}
 	}
-	if res.SharedW4Seconds > 0 {
-		res.SpeedupW4OverW1 = res.W1Seconds / res.SharedW4Seconds
-		res.SpeedupSharedOverStatic = res.StaticW4Seconds / res.SharedW4Seconds
+
+	w4Secs, w4Sizes, w4Stats, err := measure(schedWorkers)
+	if err != nil {
+		return res, err
+	}
+	res.W4Seconds = w4Secs
+	matchW1(w4Sizes)
+	res.Donations, res.Steals = w4Stats.Donations, w4Stats.Steals
+	if res.W4Seconds > 0 {
+		res.SpeedupW4OverW1 = res.W1Seconds / res.W4Seconds
 	}
 
-	// The scaling curve: the same grid on the shared pool at each
-	// requested worker count (already-measured points are reused).
+	// The scaling curve: the same grid at each requested worker count
+	// (already-measured points are reused).
 	curveWorkers := cfg.SchedWorkersCurve
 	if len(curveWorkers) == 0 {
 		curveWorkers = []int{1, 2, 4, 8}
@@ -229,20 +170,13 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 		case wk <= 1:
 			secs = res.W1Seconds
 		case wk == schedWorkers:
-			secs = res.SharedW4Seconds
+			secs = res.W4Seconds
 		default:
-			opt := base
-			opt.Workers = wk
-			opt.Speculation = headlineSpec
-			s, sizes, _, err := measure(opt)
+			s, sizes, _, err := measure(wk)
 			if err != nil {
 				return res, err
 			}
-			for i := range qs {
-				if sizes[i] != w1Sizes[i] {
-					res.AllMatch = false
-				}
-			}
+			matchW1(sizes)
 			secs = s
 		}
 		pt := SchedCurvePoint{Workers: wk, Seconds: secs}
@@ -251,53 +185,14 @@ func SchedBench(cfg Config) (res SchedBenchResult, err error) {
 		}
 		res.Curve = append(res.Curve, pt)
 	}
-
-	// Speculation ablation at W4: the identical grid with the
-	// chain-strength speculation enabled and disabled. The headline
-	// measurement already covers one side.
-	measureSpec := func(spec session.Speculation) (float64, session.Stats, error) {
-		if spec == headlineSpec {
-			return res.SharedW4Seconds, sharedStats, nil
-		}
-		opt := base
-		opt.Workers = schedWorkers
-		opt.Speculation = spec
-		secs, sizes, st, err := measure(opt)
-		if err != nil {
-			return 0, st, err
-		}
-		for i := range qs {
-			if sizes[i] != w1Sizes[i] {
-				res.AllMatch = false
-			}
-		}
-		return secs, st, nil
-	}
-	onSecs, onStats, err := measureSpec(session.SpecAuto)
-	if err != nil {
-		return res, err
-	}
-	offSecs, _, err := measureSpec(session.SpecOff)
-	if err != nil {
-		return res, err
-	}
-	res.SpecOnSeconds, res.SpecOffSeconds = onSecs, offSecs
-	if onSecs > 0 {
-		res.SpecSpeedup = offSecs / onSecs
-	}
-	res.SpecStarts = onStats.SpeculativeStarts
-	res.SpecWins = onStats.SpeculativeWins
-	res.SpecCancels = onStats.SpeculativeCancels
 	return res, nil
 }
 
 // WriteSchedBench runs SchedBench, writes its JSON record to w, embeds
 // it under "sched" in the core record at mergePath when given, and —
-// when minSpeedup > 0 — fails unless the measured shared-pool W4/W1
-// speedup strictly exceeds it. The bench-parallel CI job runs this
-// with -min-speedup 1.0 on a multi-core runner: the repo's first
-// CI-verified parallel number (committed BENCH records are
-// GOMAXPROCS=1 by construction).
+// when minSpeedup > 0 — fails unless the measured W4/W1 grid speedup
+// strictly exceeds it. The bench-parallel CI job runs this with
+// -min-speedup 1.5 on a 4-vCPU runner.
 func WriteSchedBench(cfg Config, w io.Writer, mergePath string, minSpeedup float64) error {
 	res, err := SchedBench(cfg)
 	if err != nil {
@@ -309,7 +204,7 @@ func WriteSchedBench(cfg Config, w io.Writer, mergePath string, minSpeedup float
 		return err
 	}
 	if !res.AllMatch {
-		return fmt.Errorf("sched bench: scheduling modes disagree on cell answers; record not trustworthy")
+		return fmt.Errorf("sched bench: worker counts disagree on cell answers; record not trustworthy")
 	}
 	if mergePath != "" {
 		rec, err := LoadCoreBench(mergePath)
@@ -326,12 +221,12 @@ func WriteSchedBench(cfg Config, w io.Writer, mergePath string, minSpeedup float
 			return fmt.Errorf("sched bench: -min-speedup needs a multi-core run, but GOMAXPROCS=%d", res.GOMAXPROCS)
 		}
 		if res.SpeedupW4OverW1 <= minSpeedup {
-			return fmt.Errorf("sched bench: shared-pool W%d/W1 speedup %.2fx is not above the %.2fx gate (W1 %.3fs, shared W%d %.3fs)",
-				schedWorkers, res.SpeedupW4OverW1, minSpeedup, res.W1Seconds, schedWorkers, res.SharedW4Seconds)
+			return fmt.Errorf("sched bench: grid W%d/W1 speedup %.2fx is not above the %.2fx gate (W1 %.3fs, W%d %.3fs)",
+				schedWorkers, res.SpeedupW4OverW1, minSpeedup, res.W1Seconds, schedWorkers, res.W4Seconds)
 		}
 		// Status goes to stderr: w may be the JSON record file, which
 		// must stay machine-parseable for the CI artifact.
-		fmt.Fprintf(os.Stderr, "sched bench: shared-pool W%d/W1 speedup %.2fx clears the %.2fx gate\n",
+		fmt.Fprintf(os.Stderr, "sched bench: grid W%d/W1 speedup %.2fx clears the %.2fx gate\n",
 			schedWorkers, res.SpeedupW4OverW1, minSpeedup)
 	}
 	return nil

@@ -8,9 +8,10 @@
 //
 // All bounds are evaluated on the subgraph G' induced by a search
 // instance (R, C). Where the paper's printed formulas are off by a
-// small constant (see DESIGN.md, "Corrections"), the provably safe
-// variants are used: ω ≤ degeneracy+1, ω ≤ h-index+1, and the
-// colorful analogues with the same +1; ubeac uses the balanced
+// small constant, the provably safe variants are used: ω ≤
+// degeneracy+1 and ω ≤ h-index+1 (a clique of size s has s vertices of
+// degree at least s-1, so both measures are at least s-1), the
+// colorful analogues with the same +1, and ubeac with the balanced
 // mixed-color assignment.
 package bounds
 

@@ -26,7 +26,6 @@ import (
 
 	"fairclique/internal/bounds"
 	"fairclique/internal/graph"
-	"fairclique/internal/sched"
 )
 
 // frontierEvalBudget caps the expensive Table II evaluator calls spent
@@ -218,28 +217,6 @@ func (s *searcher) sweepFrontier() {
 		}
 		s.frontPriced.Add(1)
 		s.contributeUB(ub)
-	}
-}
-
-// heurTask races one portfolio heuristic on a spare pool executor: an
-// anytime search submits these next to its real branching work, so idle
-// executors strengthen the incumbent while the search runs. The
-// portfolio member returns a valid fair clique (or nil), so record()
-// trusts it.
-type heurTask struct {
-	scope *sched.Scope
-	s     *searcher
-	fn    func(*graph.Graph, int32, int32) []int32
-}
-
-func (t *heurTask) TaskScope() *sched.Scope { return t.scope }
-
-func (t *heurTask) Run(int) {
-	if t.s.halted() {
-		return
-	}
-	if c := t.fn(t.s.p.work, t.s.k, t.s.delta); len(c) > 0 {
-		t.s.record(c, t.s.p.toOrig)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"fairclique/internal/bounds"
 	"fairclique/internal/enum"
-	"fairclique/internal/sched"
 )
 
 // sandwich asserts the anytime contract on a small graph: the incumbent
@@ -85,17 +84,21 @@ func TestNodeBudgetSandwich(t *testing.T) {
 	}
 }
 
-// Pool-backed searches honor the same contract: the driver prices the
-// root branches it skipped and donated subtrees price themselves.
+// The parallel split honors the same contract: unclaimed and
+// interrupted root branches are priced after the join, and donated
+// subtrees on the component's private pool price themselves. The
+// small-component limit is lifted so these oracle-sized fixtures take
+// the split instead of the one-component-per-worker fan-out.
 func TestNodeBudgetSandwichPooled(t *testing.T) {
-	pool := sched.NewPool(2)
-	defer pool.Close()
+	old := smallComponentLimit
+	smallComponentLimit = 0
+	defer func() { smallComponentLimit = old }()
 	for seed := uint64(0); seed < 15; seed++ {
 		g := random(seed, 14, 0.6)
 		truth := len(enum.BruteForceMaxFair(g, 1, 2))
 		for _, cap := range []int64{1, 5, 25} {
-			res := mustMaxRFC(t, g, Options{K: 1, Delta: 2, MaxNodes: cap, Pool: pool, SkipReduction: true})
-			sandwich(t, res, truth, "pooled budget")
+			res := mustMaxRFC(t, g, Options{K: 1, Delta: 2, MaxNodes: cap, Workers: 2, SkipReduction: true})
+			sandwich(t, res, truth, "parallel budget")
 		}
 	}
 }

@@ -253,15 +253,13 @@ func TestRootSplitCollectsTasks(t *testing.T) {
 	}
 }
 
-// Deterministic donation: a released executor is parked in Serve
-// before the driver branches, so the driver's first expansion is
-// guaranteed to see a hungry peer and ship a subtree through the
-// shared pool. This pins the donate / Serve / runStolen handshake
-// independent of scheduler timing — it is the same handoff a
-// dominance-skipped grid cell's freed executor performs against a
-// still-running cell — and doubles as the steal-path race test under
-// -race (two goroutines, shared incumbent, donated buffers crossing
-// between them).
+// Deterministic donation: a thief is parked hungry in Drain before
+// the driver branches, so the driver's first expansion is guaranteed
+// to see it and ship a subtree through the component's pool. This pins
+// the donate / Drain / runStolen handshake independent of scheduler
+// timing and doubles as the steal-path race test under -race (two
+// goroutines, shared incumbent, donated buffers crossing between
+// them).
 func TestDonationFeedsHungryWorker(t *testing.T) {
 	g := starvedGraph(1, 60)
 	opt := Options{K: 1, Delta: 56, BoundDepth: 1}
@@ -270,45 +268,40 @@ func TestDonationFeedsHungryWorker(t *testing.T) {
 		t.Fatalf("fixture has %d components, want 1", got)
 	}
 	d := s.newCompData(s.p.comps[0])
-	pool := sched.NewPool(2)
+	pool := sched.NewPool()
 	scope := pool.NewScope()
 	d.steal = scope
 
+	// The driver holds the ledger open; the thief never entered, so its
+	// Drain parks hungry until the driver donates.
+	scope.Enter()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		pool.Serve()
+		scope.Drain()
 	}()
-	// Park the thief in Serve before branching anything: the driver's
-	// first donation check is then guaranteed to see it.
-	for !pool.Hungry() {
+	for !scope.Hungry() {
 		runtime.Gosched()
 	}
 
-	scope.Enter()
 	driver := newWorker(d)
 	driver.branchRoot()
 	driver.flushNodes()
-	// Let the thief drain every queued task before the driver enters
+	// Let the thief pick up every donation before the driver enters
 	// Drain, so the cross-goroutine handoff is what gets tested
 	// (otherwise the driver could just reclaim its own donations).
-	for pool.Pending() > 0 {
+	for pool.Steals() < s.donations.Load() {
 		runtime.Gosched()
 	}
 	scope.Exit()
-	scope.Drain(0)
-	pool.Close()
+	scope.Drain()
 	<-done
 
 	if s.donations.Load() == 0 {
 		t.Fatal("driver never donated despite a parked hungry thief")
 	}
-	st := pool.Stats()
-	if st.CrossCellSteals == 0 {
-		t.Fatal("thief never ran a stolen subtree")
-	}
-	if st.Releases != 1 {
-		t.Fatalf("pool counted %d releases, want 1 (the parked Serve)", st.Releases)
+	if got := pool.Steals(); got != s.donations.Load() {
+		t.Fatalf("%d donations but %d steals; the pool lost or invented work", s.donations.Load(), got)
 	}
 	serial := searchSingleComponent(t, g, Options{K: 1, Delta: 56}, 1)
 	if len(s.best) != len(serial.best) {

@@ -8,9 +8,9 @@
 // EnColorfulCore -> ColorfulSup -> EnColorfulSup, optionally seed the
 // incumbent with HeurRFC, then branch-and-bound each connected
 // component under the colorful-core peeling order (CalColorOD). The
-// branching preserves the paper's alternating-attribute design via the
-// count-difference state machine described in DESIGN.md (corrections
-// 7-9), which is validated against a brute-force oracle.
+// branching preserves the paper's alternating-attribute design via a
+// count-difference state machine (see branchBits), which is validated
+// against a brute-force oracle.
 //
 // # Performance architecture
 //
@@ -19,9 +19,9 @@
 //
 //   - Each connected component is relabeled so that vertex id equals
 //     its CalColorOD peel rank. The "same-attribute, later-rank"
-//     branching rule (correction 1) then becomes a plain id
-//     comparison, and candidate sets iterated in id order are already
-//     in peel order.
+//     branching rule (which builds each clique in one order) then
+//     becomes a plain id comparison, and candidate sets iterated in
+//     id order are already in peel order.
 //   - Candidate sets are graph.LiveRow values: flat packed bitsets
 //     paired with a chunk-liveness bitmap, so per-node work scales
 //     with the chunks a vertex actually touches, not with the
@@ -112,7 +112,7 @@ type Options struct {
 	// Stats.Aborted is set when the deadline fired.
 	Deadline time.Time
 	// Injector, when non-nil, lets concurrently running searches (the
-	// session layer's grid cells) push proven bounds and valid
+	// session layer's concurrent queries) push proven bounds and valid
 	// incumbents into this search while it runs. See Injector.
 	Injector *Injector
 	// Workers sets the number of goroutines branching concurrently.
@@ -150,24 +150,6 @@ type Options struct {
 	// far with Stats.Aborted set; such sets are incomplete and must be
 	// quarantined like any anytime result.
 	CollectAll bool
-	// Pool, when non-nil, hands the search's parallelism to a shared
-	// work-stealing scheduler instead of the private per-component
-	// split: the search branches every component serially on the
-	// calling goroutine and donates frontier subtrees to the pool
-	// whenever any of its executors is hungry — including executors
-	// released by other searches running on the same pool (the session
-	// layer's concurrent grid cells). Workers is ignored in pool mode;
-	// effective parallelism is however many pool executors pick the
-	// donations up. The search still returns only after every donated
-	// subtree has finished, wherever it ran.
-	Pool *sched.Pool
-	// PoolDomain is the locality domain of the driving goroutine when
-	// Pool is set (see internal/sched): donated subtrees are queued in
-	// this domain, so same-domain executors steal them LIFO and
-	// cache-hot while remote domains steal FIFO. The session layer
-	// assigns drivers round-robin via Pool.AssignDomain; 0 is always
-	// valid.
-	PoolDomain int
 }
 
 // Stats reports search effort, for the experiment harness.
@@ -178,8 +160,9 @@ type Stats struct {
 	// how many of them pruned their node.
 	BoundChecks, BoundPrunes int64
 	// Donations counts subtree nodes shipped from busy workers to idle
-	// ones (0 for serial runs).
-	Donations int64
+	// ones (0 for serial runs); Steals counts the donated subtrees the
+	// search's workers ran, which equals Donations once Search returns.
+	Donations, Steals int64
 	// ReducedVertices/ReducedEdges is the graph size after reduction.
 	ReducedVertices, ReducedEdges int32
 	// Components is the number of connected components searched.
@@ -469,97 +452,67 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 
 	// Anytime mode races the auxiliary heuristic portfolio
 	// (degree-guided growth and Ramsey clique-removal, both
-	// fairness-repaired) against the branch-and-bound: in pool mode the
-	// runs are donated to spare executors of the shared scheduler, and
-	// otherwise to private goroutines joined before the result is read.
-	// Every member returns a valid fair clique, so record() trusts it;
-	// gated on Deadline so budget-free runs stay bit-deterministic.
+	// fairness-repaired) against the branch-and-bound on private
+	// goroutines joined before the result is read. Every member returns
+	// a valid fair clique, so record() trusts it; gated on Deadline so
+	// budget-free runs stay bit-deterministic.
 	var heurWG sync.WaitGroup
-	raceHeuristics := opt.UseHeuristic && !opt.Deadline.IsZero() && !s.halted()
+	if opt.UseHeuristic && !opt.Deadline.IsZero() && !s.halted() {
+		for _, fn := range heuristic.Portfolio() {
+			heurWG.Add(1)
+			go func(fn func(*graph.Graph, int32, int32) []int32) {
+				defer heurWG.Done()
+				if s.halted() {
+					return
+				}
+				if c := fn(p.work, s.k, s.delta); len(c) > 0 {
+					s.record(c, p.toOrig)
+				}
+			}(fn)
+		}
+	}
 
 	// Lines 6-11: branch each connected component under CalColorOD.
 	// Components are searched largest-first so good incumbents surface
-	// early.
-	//
-	// Pool mode (opt.Pool non-nil): the calling goroutine is the only
-	// driver — it branches every component serially with the donation
-	// hook armed, so hungry pool executors (idle drivers of other
-	// searches, released grid-cell workers) are fed frontier subtrees
-	// from any depth. Drain is the cross-search termination barrier:
-	// the search returns only once its ledger proves every donated
-	// subtree finished, whichever search's executor ran it.
-	if opt.Pool != nil {
-		dom := opt.PoolDomain
-		scope := opt.Pool.NewScope()
-		scope.Enter()
-		if raceHeuristics {
-			for _, fn := range heuristic.Portfolio() {
-				scope.Submit(&heurTask{scope: scope, s: s, fn: fn}, dom)
-			}
+	// early. Two-level parallelism: large components get their root
+	// branches split across all Workers (so a single giant component
+	// still scales); the tail of small components — where per-component
+	// setup would dwarf an intra-split — is distributed across Workers
+	// one component per goroutine.
+	workers := opt.Workers
+	if workers < 1 {
+		workers = 1
+	}
+	idx := 0
+	for ; idx < len(p.comps); idx++ {
+		if workers > 1 && len(p.comps[idx]) <= smallComponentLimit {
+			break // the rest (sorted descending) fan out below
 		}
-		for ci := range p.comps {
-			if s.halted() {
-				break
-			}
-			s.searchComponentPooled(ci, scope)
+		if s.halted() {
+			break
 		}
-		scope.Exit()
-		scope.Drain(dom)
-	} else {
-		if raceHeuristics {
-			for _, fn := range heuristic.Portfolio() {
-				heurWG.Add(1)
-				go func(fn func(*graph.Graph, int32, int32) []int32) {
-					defer heurWG.Done()
-					if s.halted() {
-						return
-					}
-					if c := fn(p.work, s.k, s.delta); len(c) > 0 {
-						s.record(c, p.toOrig)
-					}
-				}(fn)
-			}
-		}
-		// Private two-level parallelism: large components get their root
-		// branches split across all Workers (so a single giant component
-		// still scales); the tail of small components — where
-		// per-component setup would dwarf an intra-split — is distributed
-		// across Workers one component per goroutine.
-		workers := opt.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		idx := 0
-		for ; idx < len(p.comps); idx++ {
-			if workers > 1 && len(p.comps[idx]) <= smallComponentLimit {
-				break // the rest (sorted descending) go to the pool below
-			}
-			if s.halted() {
-				break
-			}
-			s.searchComponent(idx, workers)
-		}
-		if workers > 1 && idx < len(p.comps) && !s.halted() {
-			jobs := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for ci := range jobs {
-						s.searchComponent(ci, 1)
-					}
-				}()
-			}
-			for ci := idx; ci < len(p.comps); ci++ {
-				if s.halted() {
-					break
+		s.searchComponent(idx, workers)
+	}
+	if workers > 1 && idx < len(p.comps) && !s.halted() {
+		jobs := make(chan int)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for ci := range jobs {
+					s.searchComponent(ci, 1)
 				}
-				jobs <- ci
-			}
-			close(jobs)
-			wg.Wait()
+			}()
 		}
+		for ci := idx; ci < len(p.comps); ci++ {
+			if s.halted() {
+				break
+			}
+			jobs <- ci
+		}
+		close(jobs)
+		wg.Wait()
 	}
 
 	heurWG.Wait()
@@ -568,6 +521,7 @@ func (p *Prepared) Search(opt Options, seed []int32) (*Result, error) {
 	res.Stats.BoundChecks = s.boundChecks.Load()
 	res.Stats.BoundPrunes = s.boundPrunes.Load()
 	res.Stats.Donations = s.donations.Load()
+	res.Stats.Steals = s.steals.Load()
 	aborted := s.aborted.Load()
 	if st := s.stopAt.Load(); !s.collectAll && aborted && st > 0 && s.bestSize.Load() >= st {
 		// The incumbent meets a trusted optimum bound, so it is provably
@@ -652,6 +606,7 @@ type searcher struct {
 	boundChecks atomic.Int64
 	boundPrunes atomic.Int64
 	donations   atomic.Int64
+	steals      atomic.Int64
 	aborted     atomic.Bool // MaxNodes/Deadline tripped: result inexact
 	done        atomic.Bool // StopAtSize reached: stop early, still exact
 
@@ -784,10 +739,11 @@ func cliqueEqual(a, b []int32) bool {
 var useSliceOracle = false
 
 // smallComponentLimit is the size below which a component is searched
-// by a single worker from the cross-component pool instead of being
+// by a single worker of the cross-component fan-out instead of being
 // root-split: small components finish faster than the split's
-// per-component setup and barrier cost.
-const smallComponentLimit = 1024
+// per-component setup and barrier cost. A variable only so tests can
+// route small fixtures through the split.
+var smallComponentLimit = 1024
 
 // compPrep is the query-independent prepared machinery of one
 // component: the peel-rank-relabeled induced graph, the chunked
@@ -841,7 +797,6 @@ func (c *compPrep) getWorker(d *compData) *worker {
 	w.collect = nil
 	w.localNodes = 0
 	w.flushEvery = flushEvery(d.s.opt)
-	w.dom = 0
 	return w
 }
 
@@ -988,12 +943,6 @@ type worker struct {
 
 	localNodes int64 // batched into searcher.nodes by flushNodes
 	flushEvery int64
-
-	// dom is the locality domain of the executor currently driving this
-	// worker (see internal/sched): donations are queued there so they
-	// are stolen cache-hot by same-domain executors first. Rebound every
-	// time the worker is handed to an executor.
-	dom int
 }
 
 // flushEvery is the node-accounting batch size: small when an abort cap
@@ -1056,13 +1005,11 @@ func (w *worker) flushNodes() {
 }
 
 // subtreeTask is one donated branch node: the complete state branchBits
-// needs to resume the subtree on any executor — the per-search
-// component view (which names the searcher whose incumbent the subtree
-// feeds), the sched scope for the termination ledger, and the frontier
-// node itself (R prefix, counts, candidate row). It implements
-// sched.Task, so the same buffer flows through a component-private
-// pool (the classic Workers split) and the session-global pool
-// (cross-cell stealing) alike. Buffers are recycled through the
+// needs to resume the subtree on any worker of the component split —
+// the per-search component view (which names the searcher whose
+// incumbent the subtree feeds), the sched scope for the termination
+// ledger, and the frontier node itself (R prefix, counts, candidate
+// row). It implements sched.Task. Buffers are recycled through the
 // compPrep freelist, so steady-state donation does not allocate.
 type subtreeTask struct {
 	d     *compData
@@ -1077,16 +1024,14 @@ type subtreeTask struct {
 // TaskScope reports the search the subtree belongs to (sched.Task).
 func (t *subtreeTask) TaskScope() *sched.Scope { return t.scope }
 
-// Run resumes the donated subtree on the calling executor (sched.Task):
-// it binds a worker from the component's freelist — the executor may
-// belong to a different search of a different (k, δ, mode), so it
-// cannot carry pre-bound arenas for this component — runs the subtree
-// to completion against the donating search's incumbent, and recycles
-// both the worker and the task buffer.
-func (t *subtreeTask) Run(dom int) {
+// Run resumes the donated subtree on the calling goroutine (sched.Task):
+// it binds a worker from the component's freelist — the draining
+// goroutine returned its own arenas there when its root cursor ran
+// dry — runs the subtree to completion against the search's incumbent,
+// and recycles both the worker and the task buffer.
+func (t *subtreeTask) Run() {
 	d := t.d
 	w := d.getWorker(d)
-	w.dom = dom // re-donations from this subtree stay in the executor's domain
 	w.runStolen(t)
 	if d.s.aborted.Load() {
 		// The donated subtree may have been cut short (or, when it was
@@ -1101,10 +1046,10 @@ func (t *subtreeTask) Run(dom int) {
 }
 
 // donate publishes the child node the caller was about to branch into
-// onto the scope's pool. It reports false when no executor is actually
+// onto the scope's pool. It reports false when no worker is actually
 // waiting (the caller then recurses as usual). The demand re-check and
 // the queue push are separate critical sections; racing donors can
-// over-donate by at most executors-1 tasks, which Drain retires.
+// over-donate by at most workers-1 tasks, which Drain retires.
 func (w *worker) donate(scope *sched.Scope, depth int, cnt, avail [2]int32, cand graph.LiveRow) bool {
 	if !scope.Wanted() {
 		return false
@@ -1118,60 +1063,9 @@ func (w *worker) donate(scope *sched.Scope, depth int, cnt, avail [2]int32, cand
 	t.r = append(t.r[:0], w.rbuf[:depth]...)
 	t.cnt, t.avail = cnt, avail
 	cand.CopyInto(t.cand)
-	scope.Submit(t, w.dom)
+	scope.Submit(t)
 	d.s.donations.Add(1)
 	return true
-}
-
-// searchComponentPooled branches component ci serially on the calling
-// goroutine with the shared-pool donation hook armed: whenever another
-// executor of scope's pool is hungry, the next frontier subtree (a root
-// branch or any deeper node) is shipped to it instead of being recursed
-// into locally. Root branches are driven explicitly so an anytime abort
-// knows exactly which of them are unexplored and can price them into
-// the certificate.
-func (s *searcher) searchComponentPooled(ci int, scope *sched.Scope) {
-	comp := s.p.comps[ci]
-	if s.halted() {
-		return // un-accounted: the frontier sweep prices the component
-	}
-	if s.cut(int32(len(comp))) || len(comp) < 2*s.opt.K {
-		s.accountComp(ci) // provably no improvement here
-		return
-	}
-	prep := s.p.comp(ci)
-	d := &compData{compPrep: prep, s: s, steal: scope}
-	w := prep.getWorker(d)
-	w.dom = s.opt.PoolDomain // the driver donates into its own domain
-	tasks := w.rootTasks()
-	if len(tasks) == 0 {
-		// Root prologue pruned the component (account it) — unless a
-		// halt interrupted it, in which case the sweep prices it.
-		if !s.aborted.Load() {
-			s.accountComp(ci)
-		}
-		w.flushNodes()
-		prep.putWorker(w)
-		return
-	}
-	complete := 0 // tasks[:complete] are fully explored (or donated)
-	for _, u := range tasks {
-		if s.halted() {
-			break
-		}
-		w.runRootBranchPooled(u, scope)
-		if s.halted() {
-			break // this branch may have been cut short mid-subtree
-		}
-		complete++
-	}
-	w.flushNodes()
-	if s.aborted.Load() {
-		w.priceRootBranches(tasks[complete:])
-	} else {
-		s.accountComp(ci)
-	}
-	prep.putWorker(w)
 }
 
 // searchComponent branches the connected component at index ci of the
@@ -1232,15 +1126,15 @@ func (s *searcher) searchComponent(ci int, workers int) {
 	}
 	// Parallel: workers pull root branches from a shared cursor; once
 	// the cursor runs dry they are re-fed by subtree donation until the
-	// whole tree is exhausted — the same sched machinery the session
-	// pool uses, here on a pool private to this component. The branch
-	// prologue re-checks the incumbent, so branches queued behind a
-	// growing incumbent are pruned when claimed. Workers beyond the
-	// root-branch count are still useful — they start hungry in Drain
-	// and immediately receive donated subtrees. Every worker Enters
-	// before its goroutine starts, so the scope's ledger can never
-	// momentarily read zero while peers are still spinning up.
-	pool := sched.NewPool(workers)
+	// whole tree is exhausted, through a sched pool private to this
+	// component. The branch prologue re-checks the incumbent, so
+	// branches queued behind a growing incumbent are pruned when
+	// claimed. Workers beyond the root-branch count are still useful —
+	// they start hungry in Drain and immediately receive donated
+	// subtrees. Every worker Enters before its goroutine starts, so the
+	// scope's ledger can never momentarily read zero while peers are
+	// still spinning up.
+	pool := sched.NewPool()
 	scope := pool.NewScope()
 	d.steal = scope
 	var next atomic.Int32
@@ -1255,11 +1149,9 @@ func (s *searcher) searchComponent(ci int, workers int) {
 		if i > 0 {
 			wk = prep.getWorker(d)
 		}
-		wk.dom = pool.AssignDomain()
 		scope.Enter()
 		go func(wk *worker) {
 			defer wg.Done()
-			dom := wk.dom
 			for {
 				// The Load guard keeps the cursor bounded (at most one
 				// overshoot per worker): without it, every donation
@@ -1285,11 +1177,12 @@ func (s *searcher) searchComponent(ci int, workers int) {
 			// just returned its arenas to) until the component's ledger
 			// is empty.
 			scope.Exit()
-			scope.Drain(dom)
+			scope.Drain()
 		}(wk)
 	}
 	wg.Wait()
 	d.steal = nil
+	s.steals.Add(pool.Steals())
 	if s.aborted.Load() {
 		// Unclaimed root branches plus the claimed-but-interrupted ones
 		// carry the component's unexplored frontier (donated subtrees
@@ -1349,28 +1242,6 @@ func (w *worker) runRootBranch(u int32) {
 		child, avail := w.makeChildSlice(1, d.allVerts, u, false)
 		w.branchSlice(1, child, cnt, avail)
 	}
-}
-
-// runRootBranchPooled is runRootBranch with the shared-pool donation
-// hook at root-branch granularity: when another executor is hungry, the
-// whole branch is shipped instead of being recursed into locally (the
-// behavior the pooled driver had when the root expansion loop ran
-// inline). Slice-oracle components never donate, matching expandSlice.
-func (w *worker) runRootBranchPooled(u int32, scope *sched.Scope) {
-	d := w.d
-	if d.succ == nil {
-		w.runRootBranch(u)
-		return
-	}
-	var cnt [2]int32
-	cnt[d.comp.Attr(u)]++
-	w.rbuf[0] = u
-	w.ensureBits(1)
-	avail := w.makeChildBits(w.cand[1], d.fullRow, u, false)
-	if avail[0]+avail[1] > 0 && scope.Hungry() && w.donate(scope, 1, cnt, avail, w.cand[1]) {
-		return
-	}
-	w.branchBits(1, cnt, avail)
 }
 
 // runStolen resumes a donated subtree on this worker: the task's R
@@ -1442,11 +1313,13 @@ func (w *worker) makeChildSlice(depth int, src []int32, u int32, declare bool) (
 }
 
 // prologue runs the shared per-node bookkeeping and pruning: node
-// accounting, fairness recording (correction 7), the size bound ubs and
-// 2k floor (lines 19-20), attribute feasibility (lines 21-23), δ-caps
-// (correction 9) and the expensive bounds at shallow depth (§VI). It
-// returns false when the node is pruned, and otherwise the expansion
-// sides via the count-difference state machine (correction 8).
+// accounting, fairness recording at every node (a maximum fair clique
+// need not be a leaf: extending it may break the balance), the size
+// bound ubs and 2k floor (lines 19-20), attribute feasibility (lines
+// 21-23), δ-caps (once one attribute has no candidates left, no
+// extension stays within δ if the other side already leads by δ) and
+// the expensive bounds at shallow depth (§VI). It returns false when
+// the node is pruned.
 func (w *worker) prologue(depth int, cnt, avail [2]int32, candBits *graph.LiveRow, candSlice []int32) bool {
 	s := w.d.s
 	if s.halted() {
@@ -1491,8 +1364,12 @@ func (w *worker) prologue(depth int, cnt, avail [2]int32, candBits *graph.LiveRo
 
 // branchBits is one node of the search tree on the chunked bitset path.
 // The candidates live in w.cand[depth], R in w.rbuf[:depth]. The
-// expansion sides follow the count-difference state machine
-// (correction 8).
+// expansion sides follow the count-difference state machine: a and b
+// alternate (diff = cnt[a] - cnt[b] stays in {0, 1}), and once a side
+// holds at least k vertices a "declare" branch closes it, after which
+// only the other attribute is added (the δ-cap ends that tail). Every
+// fair clique thus has exactly one construction order: a balanced
+// interleaving followed by a single-attribute tail.
 func (w *worker) branchBits(depth int, cnt, avail [2]int32) {
 	if !w.prologue(depth, cnt, avail, &w.cand[depth], nil) {
 		return
@@ -1546,7 +1423,7 @@ func (w *worker) expandBits(depth int, attr graph.Attr, declare bool, cnt [2]int
 		w.rbuf[depth] = u
 		if st != nil && avail[0]+avail[1] > 0 && st.Hungry() &&
 			w.donate(st, depth+1, ncnt, avail, dst) {
-			return true // the subtree went to an idle executor
+			return true // the subtree went to an idle worker
 		}
 		w.branchBits(depth+1, ncnt, avail)
 		return true

@@ -2,8 +2,8 @@
 // that stand in for the paper's datasets (Table I) and case-study
 // graphs (Fig. 10). The real graphs (Themarker, Google, DBLP, Flixster,
 // Pokec, Aminer) are not available offline, so each gets a generator
-// reproducing its structural character at configurable scale; see
-// DESIGN.md "Substitutions" for the rationale. All generators are
+// reproducing its structural character at configurable scale. All
+// generators are
 // seeded and produce identical graphs across runs and platforms.
 package gen
 

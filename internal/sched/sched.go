@@ -1,72 +1,34 @@
-// Package sched is the session-lifetime work-stealing scheduler: a
-// Pool is one shared donation structure plus a hungry counter spanning
-// every search that branches against it, so an executor freed by one
-// search (a finished grid cell, a dominance skip answered with zero
-// branching) immediately steals frontier subtrees donated by searches
-// that are still running — even searches with completely different
-// (k, δ, mode) parameters, and even searches issued minutes apart: a
-// Pool is built once per session and its executors persist across
-// Find, FindGrid and post-Apply requeries until the owner closes it.
+// Package sched is the subtree-donation scheduler behind the parallel
+// component split: a Pool is one LIFO donation queue plus a hungry
+// counter, shared by the workers branching one component. Workers pull
+// root branches from an atomic cursor; once it runs dry they park in
+// Drain, and busy workers that notice a parked peer ship it the
+// frontier subtree they were about to branch into instead of recursing.
 //
 // The package deliberately knows nothing about cliques: work items are
 // opaque Tasks that carry their own execution state (internal/core's
 // donated subtree nodes implement Task). What sched owns is the LIFO
 // donation queue, the demand signal busy workers poll before shipping
-// a subtree, the termination ledger that lets a search prove all of
-// its outstanding donated work has finished, and the speculation
-// ledger the session layer uses to admit look-ahead searches only
-// when an executor is genuinely idle.
-//
-// # Locality domains
-//
-// Executors are grouped into locality domains — GOMAXPROCS-partitioned
-// shards of the worker budget, one domain per domainWidth logical
-// CPUs, which makes the partition NUMA-ready by construction (a domain
-// maps onto a core complex / socket slice; nothing in the code assumes
-// more than "these executors share cache"). Every donation is queued
-// in the donor's own domain. Victim selection is hierarchical:
-//
-//   - local domain first, LIFO — the executor takes the most recently
-//     donated subtree of its own domain, the one whose frontier buffers
-//     are still hot in the cache that produced them;
-//   - remote domains next, FIFO — when the local queue is dry the
-//     executor scans the other domains and takes their OLDEST task,
-//     the classic steal-big-from-far-away rule that moves whole
-//     subtrees across the machine instead of cache-sized crumbs.
-//
-// The split is counted (Stats.LocalSteals / RemoteSteals) so the
-// locality payoff is observable end to end.
+// a subtree, and the termination ledger that lets a search prove all
+// of its outstanding donated work has finished.
 //
 // # The ledger
 //
 // Every search runs under a Scope. A Scope's activity count is
 //
-//	active = branching executors (Enter/Exit)
+//	active = branching workers (Enter/Exit)
 //	       + live tasks (Submit until retired after running, queued or
 //	         running)
 //
 // and the search is complete exactly when active reaches zero: nobody
 // is expanding nodes for it and no donated subtree of it is queued or
-// in flight anywhere in the pool. Tasks are retired by the executor
-// that ran them, so the ledger stays correct no matter which search's
-// executor a task lands on. A popped task stays counted until it is
-// retired — a driver must never observe active == 0 while another
-// executor is still inside one of its subtrees.
+// in flight. Tasks are retired by the worker that ran them; a popped
+// task stays counted until it is retired, so a worker must never
+// observe active == 0 while another worker is still inside one of its
+// subtrees.
 //
-// # Executor roles
-//
-//   - A driver branches its own search and donates subtrees whenever
-//     Hungry() reports spare capacity; after its own pass it calls
-//     Drain, which helps execute pool tasks (its own or other
-//     searches') until its scope's ledger is empty.
-//   - A released executor calls Serve, which executes tasks from any
-//     search until Close. Under the session-lifetime pool, Serve is
-//     each persistent worker's whole life: it parks between queries
-//     and wakes whenever any search — a grid cell, a single Find, a
-//     post-Apply requery — donates work.
-//
-// Waiting executors (in Drain or Serve) raise the hungry counter;
-// branch-hot donation checks are a single atomic load (Hungry).
+// Workers waiting in Drain raise the hungry counter; branch-hot
+// donation checks are a single atomic load (Scope.Hungry).
 package sched
 
 import (
@@ -74,215 +36,61 @@ import (
 	"sync/atomic"
 )
 
-// domainWidth is the shard width of the locality partition: one domain
-// per this many executors. Four matches the typical core-complex (CCX)
-// granularity the donation buffers should stay inside.
-const domainWidth = 4
-
-// Domains returns the number of locality domains a pool sized for the
-// given worker budget is partitioned into.
-func Domains(workers int) int {
-	d := (workers + domainWidth - 1) / domainWidth
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
 // Task is one donated unit of work: a self-contained subtree frontier
-// node that any executor can run. Implementations are recycled by
-// their owners after Run returns, so callers must capture TaskScope
-// before Run and never touch the task afterwards.
+// node that any worker can run. Implementations are recycled by their
+// owners after Run returns, so callers must capture TaskScope before
+// Run and never touch the task afterwards.
 type Task interface {
 	// Run executes the work item on the calling goroutine and recycles
-	// the task's buffers. dom is the executing goroutine's locality
-	// domain: any work the task itself donates should be submitted
-	// there, so frontier buffers stay in the cache that owns them now.
-	Run(dom int)
+	// the task's buffers.
+	Run()
 	// TaskScope is the search the item belongs to, for the ledger.
 	TaskScope() *Scope
 }
 
-// Stats is a snapshot of the pool's cross-search counters.
-type Stats struct {
-	// Steals counts donated tasks executed by pool executors (Serve and
-	// Drain pops alike).
-	Steals int64
-	// CrossCellSteals counts the subset of Steals executed by an
-	// executor that was not driving the task's own search — the
-	// released-worker payoff the shared pool exists for.
-	CrossCellSteals int64
-	// LocalSteals counts tasks popped LIFO from the executor's own
-	// locality domain; RemoteSteals counts tasks taken FIFO from
-	// another domain. LocalSteals + RemoteSteals == Steals.
-	LocalSteals, RemoteSteals int64
-	// Releases counts executors that entered Serve. Under a
-	// session-lifetime pool each persistent executor calls Serve
-	// exactly once, so a constant Releases across many queries is the
-	// worker-reuse receipt.
-	Releases int64
-}
-
-// Pool is one shared scheduler: per-domain LIFO donation queues, the
-// hungry counter donors poll, and the condition variable idle
-// executors park on. A Pool coordinates any number of concurrent
-// Scopes; its zero cost when nobody is hungry is a single atomic load
-// per branch node. A Pool is built once per owner (the session) and
-// survives across searches; Close ends its executors.
+// Pool is one donation queue: the LIFO task stack, the hungry counter
+// donors poll, and the condition variable waiting workers park on. Its
+// cost when nobody is hungry is a single atomic load per branch node.
 type Pool struct {
-	hungry atomic.Int32 // executors parked waiting for work
+	hungry atomic.Int32 // workers parked in Drain waiting for work
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	doms   [][]Task // per-domain queues: LIFO at the tail, FIFO-stolen at the head
-	queued int      // total tasks across doms
-	closed bool
+	mu    sync.Mutex
+	cond  *sync.Cond
+	queue []Task // LIFO: the newest donation is popped first
 
-	nextDom atomic.Int32 // round-robin executor-domain assignment
-
-	steals       atomic.Int64
-	crossSteals  atomic.Int64
-	localSteals  atomic.Int64
-	remoteSteals atomic.Int64
-	releases     atomic.Int64
+	steals atomic.Int64
 }
 
-// NewPool returns an empty pool partitioned into Domains(workers)
-// locality domains, with no executors attached. Executors are whatever
-// goroutines call Serve or Drain against it.
-func NewPool(workers int) *Pool {
-	return NewPoolDomains(Domains(workers))
-}
-
-// NewPoolDomains returns an empty pool with an explicit domain count
-// (tests force multi-domain pools regardless of the worker budget).
-func NewPoolDomains(domains int) *Pool {
-	if domains < 1 {
-		domains = 1
-	}
-	p := &Pool{doms: make([][]Task, domains)}
+// NewPool returns an empty pool.
+func NewPool() *Pool {
+	p := &Pool{}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-// NumDomains reports the pool's locality-domain count.
-func (p *Pool) NumDomains() int { return len(p.doms) }
+// Steals reports how many donated tasks the pool's workers have run.
+// Once every scope has drained it equals the number of Scope.Submit
+// calls.
+func (p *Pool) Steals() int64 { return p.steals.Load() }
 
-// AssignDomain hands out executor domains round-robin. Serve calls it
-// implicitly; drivers that want an explicit placement (the session's
-// speculative cell drivers) call it themselves.
-func (p *Pool) AssignDomain() int {
-	if len(p.doms) == 1 {
-		return 0
-	}
-	return int(p.nextDom.Add(1)-1) % len(p.doms)
-}
-
-// Hungry reports whether any executor is parked waiting for work — the
-// donation check on the branching hot path. One atomic load.
-func (p *Pool) Hungry() bool { return p.hungry.Load() > 0 }
-
-// Idle reports how many executors are currently parked. Admission
-// signal for the speculation ledger and the tests' park barrier.
-func (p *Pool) Idle() int { return int(p.hungry.Load()) }
-
-// Wanted reports whether the queue is shorter than the number of
-// hungry executors, i.e. whether one more donation would actually feed
-// someone. Donors call it right before paying the O(row) task-copy
-// cost. Two donors racing past it can over-donate by at most
-// executors-1 tasks; surplus tasks are drained by Drain/Serve, so
-// nothing is lost.
-func (p *Pool) Wanted() bool {
-	p.mu.Lock()
-	ok := int32(p.queued) < p.hungry.Load() && !p.closed
-	p.mu.Unlock()
-	return ok
-}
-
-// Submit queues a donated task in the donor's locality domain and
-// wakes an executor. The task counts toward its scope's ledger until
-// the executor that ran it retires it.
-func (p *Pool) Submit(t Task, dom int) {
-	if dom < 0 || dom >= len(p.doms) {
-		dom = 0
-	}
-	sc := t.TaskScope()
-	p.mu.Lock()
-	sc.active++
-	p.doms[dom] = append(p.doms[dom], t)
-	p.queued++
-	p.cond.Signal()
-	p.mu.Unlock()
-}
-
-// popLocked removes one task for an executor of domain dom: the most
-// recently donated local task (LIFO, cache-hot), else the oldest task
-// of the nearest non-empty remote domain (FIFO, big subtrees travel).
-// Reports whether the pop was local; p.mu must be held.
-func (p *Pool) popLocked(dom int) (Task, bool) {
-	if dom < 0 || dom >= len(p.doms) {
-		dom = 0
-	}
-	if q := p.doms[dom]; len(q) > 0 {
-		n := len(q) - 1
-		t := q[n]
-		q[n] = nil
-		p.doms[dom] = q[:n]
-		p.queued--
-		return t, true
-	}
-	nd := len(p.doms)
-	for off := 1; off < nd; off++ {
-		v := (dom + off) % nd
-		q := p.doms[v]
-		if len(q) == 0 {
-			continue
-		}
-		t := q[0]
-		copy(q, q[1:])
-		q[len(q)-1] = nil
-		p.doms[v] = q[:len(q)-1]
-		p.queued--
-		return t, false
-	}
-	return nil, false
-}
-
-// Pending reports how many donated tasks are queued but not yet picked
-// up (tasks already running on an executor are not counted). Test and
-// observability hook; the hot paths never call it.
-func (p *Pool) Pending() int {
-	p.mu.Lock()
-	n := p.queued
-	p.mu.Unlock()
-	return n
-}
-
-// runNextLocked pops and executes one task for an executor of domain
-// dom, accounting it against self — the executor's own scope, or nil
-// for a released Serve executor, for which every pop is a cross steal.
-// The task's scope is captured before Run (Run recycles the task), and
-// the lock is released around the task body. Retiring the task may
-// empty its scope's ledger; Broadcast then, because Signal could wake
-// an unrelated waiter while the scope's driver stays parked in Drain.
-// Called with p.mu held; reports false when every queue was empty.
-func (p *Pool) runNextLocked(self *Scope, dom int) bool {
-	t, local := p.popLocked(dom)
-	if t == nil {
+// runNextLocked pops the newest task and runs it with the lock
+// released around the task body. The task's scope is captured before
+// Run (Run recycles the task). Retiring the task may empty its scope's
+// ledger; Broadcast then, because Signal could wake a waiter of another
+// scope while this one's workers stay parked in Drain. Called with p.mu
+// held; reports false when the queue was empty.
+func (p *Pool) runNextLocked() bool {
+	n := len(p.queue) - 1
+	if n < 0 {
 		return false
 	}
+	t := p.queue[n]
+	p.queue[n] = nil
+	p.queue = p.queue[:n]
 	sc := t.TaskScope()
 	p.steals.Add(1)
-	if sc != self {
-		p.crossSteals.Add(1)
-	}
-	if local {
-		p.localSteals.Add(1)
-	} else {
-		p.remoteSteals.Add(1)
-	}
 	p.mu.Unlock()
-	t.Run(dom)
+	t.Run()
 	p.mu.Lock()
 	sc.active--
 	if sc.active == 0 {
@@ -291,59 +99,8 @@ func (p *Pool) runNextLocked(self *Scope, dom int) bool {
 	return true
 }
 
-// Close wakes every parked executor and makes Serve return once the
-// queues are empty. The pool owner calls it when the session shuts
-// down (Session.Close); at that point every scope's ledger is zero, so
-// no task can still be queued.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	p.closed = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// Serve turns the calling goroutine into a persistent released
-// executor of a round-robin-assigned locality domain: it runs donated
-// tasks from any search — parking between queries — until the pool is
-// closed. This is the cross-cell and cross-query payoff: the worker a
-// dominance-skipped cell never needed executes subtrees of the cells
-// still branching, and the same worker serves next week's requery.
-func (p *Pool) Serve() {
-	p.ServeDomain(p.AssignDomain())
-}
-
-// ServeDomain is Serve with an explicit locality domain (tests pin
-// executors to domains to observe the victim-selection order).
-func (p *Pool) ServeDomain(dom int) {
-	p.releases.Add(1)
-	p.mu.Lock()
-	for {
-		if p.runNextLocked(nil, dom) {
-			continue
-		}
-		if p.closed {
-			p.mu.Unlock()
-			return
-		}
-		p.hungry.Add(1)
-		p.cond.Wait()
-		p.hungry.Add(-1)
-	}
-}
-
-// Stats returns a snapshot of the pool's counters.
-func (p *Pool) Stats() Stats {
-	return Stats{
-		Steals:          p.steals.Load(),
-		CrossCellSteals: p.crossSteals.Load(),
-		LocalSteals:     p.localSteals.Load(),
-		RemoteSteals:    p.remoteSteals.Load(),
-		Releases:        p.releases.Load(),
-	}
-}
-
 // Scope is one search's view of the pool: the termination ledger its
-// driver waits on. Scopes are cheap; a search creates one per run.
+// workers wait on. Scopes are cheap; a search creates one per run.
 type Scope struct {
 	pool   *Pool
 	active int // guarded by pool.mu; see the package comment
@@ -352,18 +109,35 @@ type Scope struct {
 // NewScope registers a new search on the pool.
 func (p *Pool) NewScope() *Scope { return &Scope{pool: p} }
 
-// Pool returns the pool the scope donates to.
-func (sc *Scope) Pool() *Pool { return sc.pool }
+// Hungry reports whether any worker of the pool is parked waiting for
+// work — the donation check on the branching hot path. One atomic
+// load.
+func (sc *Scope) Hungry() bool { return sc.pool.hungry.Load() > 0 }
 
-// Hungry is Pool.Hungry, for call sites that only hold the scope.
-func (sc *Scope) Hungry() bool { return sc.pool.Hungry() }
+// Wanted reports whether the pool's queue is shorter than the number
+// of hungry workers, i.e. whether one more donation would actually
+// feed someone. Donors call it right before paying the O(row)
+// task-copy cost. Two donors racing past it can over-donate by at most
+// workers-1 tasks; surplus tasks are run by Drain, so nothing is lost.
+func (sc *Scope) Wanted() bool {
+	p := sc.pool
+	p.mu.Lock()
+	ok := int32(len(p.queue)) < p.hungry.Load()
+	p.mu.Unlock()
+	return ok
+}
 
-// Wanted is Pool.Wanted, for call sites that only hold the scope.
-func (sc *Scope) Wanted() bool { return sc.pool.Wanted() }
-
-// Submit donates a task into the scope's pool, queued in the donating
-// executor's locality domain.
-func (sc *Scope) Submit(t Task, dom int) { sc.pool.Submit(t, dom) }
+// Submit queues a donated task of this scope and wakes a waiting
+// worker. The task counts toward the ledger until the worker that ran
+// it retires it.
+func (sc *Scope) Submit(t Task) {
+	p := sc.pool
+	p.mu.Lock()
+	sc.active++
+	p.queue = append(p.queue, t)
+	p.cond.Signal()
+	p.mu.Unlock()
+}
 
 // Enter marks the calling goroutine as branching under this scope; the
 // scope cannot terminate while it is entered. Every Enter must be
@@ -374,8 +148,8 @@ func (sc *Scope) Enter() {
 	sc.pool.mu.Unlock()
 }
 
-// Exit ends an Enter. When it empties the ledger, parked executors are
-// woken so Drain and Serve observe the termination.
+// Exit ends an Enter. When it empties the ledger, parked workers are
+// woken so Drain observes the termination.
 func (sc *Scope) Exit() {
 	p := sc.pool
 	p.mu.Lock()
@@ -386,21 +160,13 @@ func (sc *Scope) Exit() {
 	p.mu.Unlock()
 }
 
-// Drain is an executor's barrier: it executes pool tasks — its own
-// search's or, while helping, other searches' — until this scope's
-// ledger is empty, then returns. dom is the draining executor's
-// locality domain, steering its pops local-first like any other
-// executor. The caller must have Exited first. Both executor shapes
-// end on it: the classic per-component split's workers Drain after the
-// root cursor runs dry (the pool is then private to the component, so
-// every pop is the old busy-count steal loop), and a shared-pool
-// search's driver Drains after its serial pass so it cannot return
-// while another cell's executor is still inside one of its donated
-// subtrees. Drain ignores halts deliberately: a halted search's queued
-// tasks still occupy the queue and are retired by running them (each
-// returns immediately against the halted searcher), so the ledger
-// always converges and the pool never leaks tasks.
-func (sc *Scope) Drain(dom int) {
+// Drain is a worker's barrier: it runs queued tasks — of this scope or
+// of any other scope sharing the pool — until this scope's ledger is
+// empty, then returns. The caller must have Exited first. Drain ignores
+// halts deliberately: a halted search's queued tasks are retired by
+// running them (each returns immediately against the halted searcher),
+// so the ledger always converges and the pool never leaks tasks.
+func (sc *Scope) Drain() {
 	p := sc.pool
 	p.mu.Lock()
 	for {
@@ -408,71 +174,11 @@ func (sc *Scope) Drain(dom int) {
 			p.mu.Unlock()
 			return
 		}
-		if p.runNextLocked(sc, dom) {
+		if p.runNextLocked() {
 			continue
 		}
 		p.hungry.Add(1)
 		p.cond.Wait()
 		p.hungry.Add(-1)
 	}
-}
-
-// SpecLedger is the speculation admission ledger: the session layer
-// asks it before launching the next cell of a weak dominance chain
-// ahead of its predecessor. A launch is admitted only when an executor
-// is actually parked (speculation rides idle capacity, never displaces
-// the chain driver) and no other speculation is outstanding (the
-// chain's look-ahead is exactly one cell). Every admitted launch must
-// be resolved as exactly one of Win (the speculated search finished
-// exact and its result was committed) or Cancel (the predecessor made
-// the cell skippable, or the speculative result came back inexact and
-// was quarantined).
-type SpecLedger struct {
-	pool *Pool
-
-	mu          sync.Mutex
-	outstanding int
-
-	starts  atomic.Int64
-	wins    atomic.Int64
-	cancels atomic.Int64
-}
-
-// NewSpecLedger returns a ledger admitting speculation against p.
-func (p *Pool) NewSpecLedger() *SpecLedger { return &SpecLedger{pool: p} }
-
-// TryStart admits one speculative launch, or reports false when no
-// executor is idle or a speculation is already outstanding.
-func (l *SpecLedger) TryStart() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.outstanding > 0 || !l.pool.Hungry() {
-		return false
-	}
-	l.outstanding++
-	l.starts.Add(1)
-	return true
-}
-
-// Win resolves an outstanding speculation whose exact result was
-// committed as the cell's answer.
-func (l *SpecLedger) Win() { l.resolve(&l.wins) }
-
-// Cancel resolves an outstanding speculation that was cancelled or
-// whose inexact result was quarantined.
-func (l *SpecLedger) Cancel() { l.resolve(&l.cancels) }
-
-func (l *SpecLedger) resolve(ctr *atomic.Int64) {
-	l.mu.Lock()
-	if l.outstanding > 0 {
-		l.outstanding--
-		ctr.Add(1)
-	}
-	l.mu.Unlock()
-}
-
-// Stats reports (starts, wins, cancels). starts == wins + cancels once
-// no speculation is outstanding.
-func (l *SpecLedger) Stats() (starts, wins, cancels int64) {
-	return l.starts.Load(), l.wins.Load(), l.cancels.Load()
 }

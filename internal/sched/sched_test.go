@@ -8,78 +8,79 @@ import (
 	"time"
 )
 
-// fakeTask is a minimal Task: a closure plus its scope. The executing
-// domain is recorded for the victim-selection tests.
+// fakeTask is a minimal Task: a closure plus its scope.
 type fakeTask struct {
-	scope  *Scope
-	run    func()
-	ranDom atomic.Int32
+	scope *Scope
+	run   func()
 }
 
-func (t *fakeTask) Run(dom int) {
-	t.ranDom.Store(int32(dom))
+func (t *fakeTask) Run() {
 	if t.run != nil {
 		t.run()
 	}
 }
 func (t *fakeTask) TaskScope() *Scope { return t.scope }
 
-// A driver that submitted tasks and Exited must retire all of them in
+// parkDrainer starts a worker that is already parked hungry in Drain:
+// it never entered the scope, so it waits on the ledger the caller
+// holds open. The returned channel closes when its Drain returns.
+func parkDrainer(p *Pool, sc *Scope) chan struct{} {
+	done := make(chan struct{})
+	before := p.hungry.Load()
+	go func() {
+		defer close(done)
+		sc.Drain()
+	}()
+	for p.hungry.Load() == before {
+		runtime.Gosched()
+	}
+	return done
+}
+
+// A worker that submitted tasks and Exited must retire all of them in
 // Drain, leaving the queue empty.
 func TestDrainRunsOwnTasks(t *testing.T) {
-	p := NewPool(4)
+	p := NewPool()
 	sc := p.NewScope()
 	sc.Enter()
 	var ran atomic.Int32
 	for i := 0; i < 5; i++ {
-		p.Submit(&fakeTask{scope: sc, run: func() { ran.Add(1) }}, 0)
+		sc.Submit(&fakeTask{scope: sc, run: func() { ran.Add(1) }})
 	}
 	sc.Exit()
-	sc.Drain(0)
+	sc.Drain()
 	if ran.Load() != 5 {
 		t.Fatalf("Drain ran %d of 5 tasks", ran.Load())
 	}
-	if p.Pending() != 0 {
-		t.Fatalf("%d tasks left queued after Drain", p.Pending())
+	if len(p.queue) != 0 {
+		t.Fatalf("%d tasks left queued after Drain", len(p.queue))
 	}
-	st := p.Stats()
-	if st.Steals != 5 || st.CrossCellSteals != 0 {
-		t.Fatalf("own-task drain counted steals=%d cross=%d; want 5/0", st.Steals, st.CrossCellSteals)
-	}
-	if st.LocalSteals != 5 || st.RemoteSteals != 0 {
-		t.Fatalf("same-domain drain counted local=%d remote=%d; want 5/0", st.LocalSteals, st.RemoteSteals)
+	if got := p.Steals(); got != 5 {
+		t.Fatalf("own-task drain counted %d steals; want 5", got)
 	}
 }
 
-// Drain must not return while another executor is still inside one of
-// the scope's tasks — the cross-executor termination ledger.
+// Drain must not return while another worker is still inside one of
+// the scope's tasks — the cross-worker termination ledger.
 func TestDrainWaitsForRunningTask(t *testing.T) {
-	p := NewPool(4)
+	p := NewPool()
 	sc := p.NewScope()
-
-	serveDone := make(chan struct{})
-	go func() {
-		defer close(serveDone)
-		p.Serve()
-	}()
-	for !p.Hungry() {
-		runtime.Gosched()
-	}
+	sc.Enter()
+	thief := parkDrainer(p, sc)
 
 	release := make(chan struct{})
 	started := make(chan struct{})
-	sc.Enter()
-	p.Submit(&fakeTask{scope: sc, run: func() {
+	sc.Submit(&fakeTask{scope: sc, run: func() {
 		close(started)
 		<-release
-	}}, 0)
+	}})
+	<-started // the thief is now inside the task
 	sc.Exit()
-	<-started // the Serve executor is now inside the task
 
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
-		sc.Drain(0)
+		sc.Drain()
 	}()
 	select {
 	case <-drained:
@@ -88,222 +89,87 @@ func TestDrainWaitsForRunningTask(t *testing.T) {
 	}
 	close(release)
 	<-drained
-	p.Close()
-	<-serveDone
-
-	st := p.Stats()
-	if st.CrossCellSteals != 1 || st.Releases != 1 {
-		t.Fatalf("stats %+v; want one cross steal by one released executor", st)
+	<-thief
+	if got := p.Steals(); got != 1 {
+		t.Fatalf("%d steals; want the thief's one", got)
 	}
 }
 
 // Wanted throttles donation to actual demand: false with nobody
-// hungry, true with a parked executor, false again once the queue
-// covers the demand.
+// hungry, true with a parked worker and an empty queue.
 func TestWantedTracksDemand(t *testing.T) {
-	p := NewPool(4)
+	p := NewPool()
 	sc := p.NewScope()
-	if p.Wanted() {
-		t.Fatal("Wanted with no hungry executor")
+	if sc.Wanted() {
+		t.Fatal("Wanted with no hungry worker")
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		p.Serve()
-	}()
-	for !p.Hungry() {
-		runtime.Gosched()
+	sc.Enter()
+	done := parkDrainer(p, sc)
+	if !sc.Wanted() {
+		t.Fatal("not Wanted despite a parked worker and an empty queue")
 	}
-	if !p.Wanted() {
-		t.Fatal("not Wanted despite a parked executor and an empty queue")
-	}
-	// Queue a task while holding the executor parked is racy (it will
-	// pop it); instead close and check Wanted goes false.
-	p.Close()
+	sc.Exit()
 	<-done
-	if p.Wanted() {
-		t.Fatal("Wanted after Close")
-	}
-	if sc.Pool() != p {
-		t.Fatal("scope not bound to its pool")
+	if sc.Wanted() {
+		t.Fatal("Wanted after the only waiter left")
 	}
 }
 
-// The locality partition: one domain per 4 workers, never fewer than 1.
-func TestDomainPartition(t *testing.T) {
-	for _, tc := range []struct{ workers, domains int }{
-		{0, 1}, {1, 1}, {2, 1}, {4, 1}, {5, 2}, {8, 2}, {9, 3}, {16, 4},
-	} {
-		if got := NewPool(tc.workers).NumDomains(); got != tc.domains {
-			t.Errorf("NewPool(%d).NumDomains() = %d, want %d", tc.workers, got, tc.domains)
-		}
-	}
-}
-
-// Hierarchical victim selection: an executor pops its own domain LIFO
-// (most recent donation first, cache-hot) and only then steals from a
-// remote domain FIFO (oldest donation, the biggest subtree).
+// The queue is LIFO: a draining worker takes the most recent donation
+// first — the subtree whose frontier buffers are still hot in cache.
 func TestVictimSelectionOrder(t *testing.T) {
-	p := NewPoolDomains(2)
+	p := NewPool()
 	sc := p.NewScope()
 	sc.Enter()
-
 	var order []int
-	mk := func(id int) *fakeTask {
-		return &fakeTask{scope: sc, run: func() { order = append(order, id) }}
+	for id := 1; id <= 4; id++ {
+		sc.Submit(&fakeTask{scope: sc, run: func() { order = append(order, id) }})
 	}
-	local1, local2 := mk(1), mk(2)
-	remoteOld, remoteNew := mk(3), mk(4)
-	p.Submit(local1, 0)
-	p.Submit(local2, 0)
-	p.Submit(remoteOld, 1)
-	p.Submit(remoteNew, 1)
-
 	sc.Exit()
-	sc.Drain(0) // drain as a domain-0 executor
-
-	// Local LIFO: 2 then 1. Remote FIFO: 3 then 4.
-	want := []int{2, 1, 3, 4}
+	sc.Drain()
+	want := []int{4, 3, 2, 1}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("pop order %v, want %v", order, want)
 		}
 	}
-	st := p.Stats()
-	if st.LocalSteals != 2 || st.RemoteSteals != 2 {
-		t.Fatalf("local=%d remote=%d; want 2/2", st.LocalSteals, st.RemoteSteals)
-	}
-	for _, tt := range []*fakeTask{local1, local2} {
-		if tt.ranDom.Load() != 0 {
-			t.Fatalf("local task ran in domain %d, want 0", tt.ranDom.Load())
+}
+
+// Many scopes share one pool, each driven by several workers that
+// donate while anyone is hungry and then Drain; draining workers help
+// other scopes' tasks too. Every ledger ends at zero and every work
+// item runs exactly once. Run with -race via make test-race: this is
+// the cross-scope counterpart of the engine-level donation race tests.
+func TestManyScopesManyExecutorsRace(t *testing.T) {
+	p := NewPool()
+	const scopes, workersPerScope = 4, 3
+	var ran, total atomic.Int64
+	var wg sync.WaitGroup
+	for d := 0; d < scopes; d++ {
+		sc := p.NewScope()
+		for w := 0; w < workersPerScope; w++ {
+			sc.Enter() // before the goroutine starts: the ledger never reads zero early
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					total.Add(1)
+					if sc.Hungry() && sc.Wanted() {
+						sc.Submit(&fakeTask{scope: sc, run: func() { ran.Add(1) }})
+					} else {
+						ran.Add(1) // branch locally: the work happens either way
+					}
+				}
+				sc.Exit()
+				sc.Drain()
+			}()
 		}
 	}
-}
-
-// A domain-pinned Serve executor prefers its own domain's queue even
-// when another domain's tasks were submitted earlier.
-func TestServeDomainPrefersLocal(t *testing.T) {
-	p := NewPoolDomains(2)
-	sc := p.NewScope()
-	sc.Enter()
-
-	var first atomic.Int32
-	remote := &fakeTask{scope: sc, run: func() { first.CompareAndSwap(0, 1) }}
-	local := &fakeTask{scope: sc, run: func() { first.CompareAndSwap(0, 2) }}
-	p.Submit(remote, 0) // earlier, wrong domain
-	p.Submit(local, 1)  // later, the executor's domain
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		p.ServeDomain(1)
-	}()
-	sc.Exit()
-	sc.Drain(1)
-	p.Close()
-	<-done
-
-	if first.Load() != 2 {
-		t.Fatal("domain-1 executor did not run its local task first")
-	}
-}
-
-// Serve executors drain tasks from many scopes and exit on Close; every
-// ledger ends at zero even under churn — here across a multi-domain
-// pool with round-robin submitter domains. Run with -race via make
-// test-race: this is the cross-scope counterpart of the engine-level
-// donation race tests.
-func TestManyScopesManyExecutorsRace(t *testing.T) {
-	p := NewPoolDomains(3)
-	const executors = 4
-	var serveWG sync.WaitGroup
-	for i := 0; i < executors; i++ {
-		serveWG.Add(1)
-		go func() {
-			defer serveWG.Done()
-			p.Serve()
-		}()
-	}
-
-	var ran atomic.Int64
-	var total atomic.Int64
-	var driverWG sync.WaitGroup
-	for d := 0; d < 6; d++ {
-		driverWG.Add(1)
-		go func(d int) {
-			defer driverWG.Done()
-			dom := p.AssignDomain()
-			sc := p.NewScope()
-			sc.Enter()
-			for i := 0; i < 50; i++ {
-				if p.Hungry() && p.Wanted() {
-					total.Add(1)
-					p.Submit(&fakeTask{scope: sc, run: func() { ran.Add(1) }}, dom)
-				} else {
-					// Branch locally: the work happens either way.
-					total.Add(1)
-					ran.Add(1)
-				}
-			}
-			sc.Exit()
-			sc.Drain(dom)
-		}(d)
-	}
-	driverWG.Wait()
-	p.Close()
-	serveWG.Wait()
+	wg.Wait()
 	if ran.Load() != total.Load() {
 		t.Fatalf("ran %d of %d work items", ran.Load(), total.Load())
 	}
-	if p.Pending() != 0 {
-		t.Fatalf("%d tasks leaked in the queue", p.Pending())
+	if len(p.queue) != 0 {
+		t.Fatalf("%d tasks leaked in the queue", len(p.queue))
 	}
-	st := p.Stats()
-	if st.LocalSteals+st.RemoteSteals != st.Steals {
-		t.Fatalf("steal split %d+%d != total %d", st.LocalSteals, st.RemoteSteals, st.Steals)
-	}
-}
-
-// The speculation ledger: admission requires an idle executor and no
-// outstanding speculation; every start resolves as exactly one win or
-// cancel.
-func TestSpecLedgerAdmission(t *testing.T) {
-	p := NewPool(4)
-	l := p.NewSpecLedger()
-
-	if l.TryStart() {
-		t.Fatal("speculation admitted with no idle executor")
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		p.Serve()
-	}()
-	for !p.Hungry() {
-		runtime.Gosched()
-	}
-
-	if !l.TryStart() {
-		t.Fatal("speculation rejected despite an idle executor")
-	}
-	if l.TryStart() {
-		t.Fatal("second speculation admitted while one is outstanding")
-	}
-	l.Win()
-	if !l.TryStart() {
-		t.Fatal("speculation rejected after the previous one resolved")
-	}
-	l.Cancel()
-	if s, w, c := l.Stats(); s != 2 || w != 1 || c != 1 {
-		t.Fatalf("ledger stats %d/%d/%d; want starts=2 wins=1 cancels=1", s, w, c)
-	}
-	// Resolving with nothing outstanding must not corrupt the ledger.
-	l.Cancel()
-	if s, w, c := l.Stats(); s != 2 || w != 1 || c != 1 {
-		t.Fatalf("spurious resolve changed stats to %d/%d/%d", s, w, c)
-	}
-
-	p.Close()
-	<-done
 }

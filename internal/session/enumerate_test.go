@@ -107,7 +107,6 @@ func TestEnumerationDifferentialWall(t *testing.T) {
 					}
 				}
 			}
-			s.Close()
 		}
 	}
 }
@@ -117,7 +116,6 @@ func TestEnumerationDifferentialWall(t *testing.T) {
 func TestEnumerateTopRDiversifies(t *testing.T) {
 	g := random(41, 20, 0.5)
 	s := New(g, Options{UseBounds: true, Extra: bounds.ColorfulDegeneracy, UseHeuristic: true})
-	defer s.Close()
 	full, err := s.Enumerate(Query{K: 1, Delta: 2, Kind: KindEnumerateAll})
 	if err != nil {
 		t.Fatal(err)
@@ -259,8 +257,6 @@ func TestApplyIncrementalEnumVsFresh(t *testing.T) {
 				}
 				prev[c.name] = got.Cliques
 			}
-			fresh.Close()
 		}
-		s.Close()
 	}
 }

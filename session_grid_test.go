@@ -33,10 +33,8 @@ func independentFind(t *testing.T, g *Graph, spec QuerySpec, bound UpperBound) *
 // size, and a valid fair clique for the cell's own constraint — across
 // all six Table II bound configurations and both weak and strong modes
 // alongside the relative cells. Every configuration runs twice: a
-// serial session and a Workers=4 session, the latter exercising the
-// session-global work-stealing pool (drivers donating subtrees,
-// released executors stealing them across cells) on exactly the same
-// grid — the differential guard of the shared-pool scheduler.
+// serial session and a Workers=4 session, the latter running every
+// cell in parallel on exactly the same grid.
 func TestSessionGridMatchesIndependentFindAllBounds(t *testing.T) {
 	var reuses int64
 	for seed := uint64(0); seed < 6; seed++ {
